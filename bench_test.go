@@ -143,26 +143,6 @@ func BenchmarkExtBaselineSweep(b *testing.B) {
 	benchExperiment(b, "ext-baseline-sweep", nil)
 }
 
-// BenchmarkFlowCacheExecute measures the cached fast path against the
-// repetitive traffic flow caching targets (paper related work, ref [7]).
-func BenchmarkFlowCacheExecute(b *testing.B) {
-	f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.BuildMAC(f, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := core.NewFlowCache(p, 4096)
-	trace := traffic.MACTrace(f, 512, 0.9, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := trace[i%len(trace)]
-		cache.Execute(&h)
-	}
-}
-
 // BenchmarkUpdateFileReplay measures the concrete update-file replay path
 // (Section V.B) for a mid-sized MAC filter.
 func BenchmarkUpdateFileReplay(b *testing.B) {

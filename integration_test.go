@@ -128,28 +128,3 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
-
-// TestFlowCacheSpeedupIntegration exercises the cached prototype on a
-// flow-repetitive trace and verifies agreement plus a hit-rate win.
-func TestFlowCacheSpeedupIntegration(t *testing.T) {
-	mac, err := filterset.GenerateMAC("bbrb", filterset.DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.BuildMAC(mac, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := core.NewFlowCache(p, 256)
-	flows := traffic.MACTrace(mac, 128, 0.9, 3)
-	for round := 0; round < 40; round++ {
-		for i := range flows {
-			h := flows[i]
-			cache.Execute(&h)
-		}
-	}
-	hits, misses, _ := cache.Stats()
-	if hits < misses*10 {
-		t.Errorf("cache ineffective on repetitive trace: %d hits, %d misses", hits, misses)
-	}
-}

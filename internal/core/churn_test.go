@@ -120,7 +120,7 @@ func TestRouteTableChurn(t *testing.T) {
 }
 
 // TestConcurrentSnapshotChurn stresses the RCU snapshot engine under
-// `go test -race`: reader goroutines run Execute and ExecuteBatch while
+// `go test -race`: reader goroutines run Execute and ExecuteBatchInto while
 // writer goroutines insert and remove flow entries through the pipeline.
 //
 // The snapshot-isolation invariant under test: a reader must only ever
@@ -128,7 +128,7 @@ func TestRouteTableChurn(t *testing.T) {
 // flow entry that means every probe either misses cleanly (sent to
 // controller) or matches with exactly the installed priority and output —
 // a half-applied insert (field searcher updated, combination store not)
-// would surface as any other outcome. Within one ExecuteBatch the whole
+// would surface as any other outcome. Within one ExecuteBatchInto the whole
 // batch must observe one snapshot, so identical probes placed at both
 // ends of the batch must agree even while the entry is being toggled.
 func TestConcurrentSnapshotChurn(t *testing.T) {
@@ -266,7 +266,7 @@ func TestConcurrentSnapshotChurn(t *testing.T) {
 				for j := range hs {
 					hs[j] = probe()
 				}
-				results := p.ExecuteBatch(hs)
+				results := p.ExecuteBatchInto(hs, nil)
 				for _, res := range results {
 					if err := checkResult(res); err != nil {
 						errs <- err

@@ -404,11 +404,12 @@ func TestFlowKeyDistinguishesEveryField(t *testing.T) {
 }
 
 // TestExecuteBatchEdges covers the batch entry points' degenerate
-// inputs: nil and empty batches, nil header slots, and reply-slice
-// reuse through ExecuteBatchInto.
+// inputs: nil and empty batches, nil header slots, reply-slice reuse
+// through ExecuteBatchInto, and a zero-table pipeline executed right
+// after walks on another pipeline.
 func TestExecuteBatchEdges(t *testing.T) {
-	f, p, _ := mirroredMACPipelines(t, 1<<10)
-	if res := p.ExecuteBatch(nil); len(res) != 0 {
+	f, p, ref := mirroredMACPipelines(t, 1<<10)
+	if res := p.ExecuteBatchInto(nil, nil); len(res) != 0 {
 		t.Fatalf("nil batch returned %d results", len(res))
 	}
 	if res := p.ExecuteBatchInto([]*openflow.Header{}, nil); len(res) != 0 {
@@ -427,7 +428,7 @@ func TestExecuteBatchEdges(t *testing.T) {
 		hs = append(hs, &scratch[i])
 	}
 	hs = append(hs, nil)
-	res := p.ExecuteBatch(hs)
+	res := p.ExecuteBatchInto(hs, nil)
 	if len(res) != len(hs) {
 		t.Fatalf("batch returned %d results for %d headers", len(res), len(hs))
 	}
@@ -455,4 +456,50 @@ func TestExecuteBatchEdges(t *testing.T) {
 	if len(out) != len(hs) {
 		t.Fatalf("grown batch returned %d results", len(out))
 	}
+
+	// A zero-table pipeline has no flows to charge. Its scratch (pooled
+	// for Execute, pooled batch state for ExecuteBatchInto) last served a
+	// walk on ref, so the walk must reset before its empty-pipeline
+	// return, or those walks' refs are charged to empty's directory.
+	empty := NewPipeline()
+	for i := 0; i < 64; i++ {
+		h := trace[i%len(trace)]
+		ref.Execute(&h)
+		h = trace[i%len(trace)]
+		if res := empty.Execute(&h); !res.SentToController || res.Matched {
+			t.Fatalf("zero-table Execute: %+v", res)
+		}
+	}
+	if n := counterChunks(empty.dir); n != 0 {
+		t.Fatalf("Execute on a zero-table pipeline allocated %d counter chunks", n)
+	}
+	for i := 0; i < 8; i++ {
+		copy(scratch, trace)
+		ref.ExecuteBatchInto(hs, out)
+		copy(scratch, trace)
+		for j, r := range empty.ExecuteBatchInto(hs, out) {
+			if !r.SentToController || r.Matched {
+				t.Fatalf("zero-table batch slot %d: %+v", j, r)
+			}
+		}
+	}
+	if n := counterChunks(empty.dir); n != 0 {
+		t.Fatalf("ExecuteBatchInto on a zero-table pipeline allocated %d counter chunks", n)
+	}
+}
+
+// counterChunks counts the per-flow counter chunks allocated across the
+// directory's shards.
+func counterChunks(d *flowDir) int {
+	n := 0
+	for i := range d.shards {
+		if spine := d.shards[i].chunks.Load(); spine != nil {
+			for _, c := range *spine {
+				if c != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }

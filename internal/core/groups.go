@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"ofmtl/internal/openflow"
@@ -259,19 +258,6 @@ func (p *Pipeline) DeleteGroup(id uint32) error {
 	gt.mu.Unlock()
 	p.rebuildGroupViewLocked()
 	return nil
-}
-
-// Groups returns the installed groups, deep-copied, in ID order.
-func (p *Pipeline) Groups() []Group {
-	gt := p.groupTab
-	gt.mu.Lock()
-	out := make([]Group, 0, len(gt.entries))
-	for _, g := range gt.entries {
-		out = append(out, *g.clone())
-	}
-	gt.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // runGroup executes group id against the scratch state: bucket outputs

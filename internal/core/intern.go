@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"ofmtl/internal/openflow"
@@ -222,8 +221,8 @@ func resultsEqual(a, b *Result) bool {
 // execScratch carries one Execute call's working buffers: the visited
 // walk, the egress ports, the accumulating action set, and — for traced
 // (megaflow-installing) walks — the consulted-bits mask and the
-// rewritten-fields bitmask. Buffers are pooled so steady-state execution
-// performs no heap allocation.
+// rewritten-fields bitmask. Each execCtx owns one, so steady-state
+// execution performs no heap allocation.
 type execScratch struct {
 	visited []openflow.TableID
 	outs    []uint32
@@ -259,5 +258,3 @@ func (sc *execScratch) reset() {
 	sc.refOverflow = false
 	sc.lat = nil
 }
-
-var execScratchPool = sync.Pool{New: func() any { return &execScratch{} }}

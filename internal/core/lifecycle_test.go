@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ofmtl/internal/openflow"
@@ -184,20 +185,62 @@ func TestSweepPublishesOneSnapshot(t *testing.T) {
 }
 
 // TestFlowCounters checks per-flow packet/byte accounting end to end:
-// accumulation across Execute and ExecuteBatch, survival across
-// snapshot republish, and the modify-resets-counters rule.
+// accumulation across Execute and ExecuteBatchInto, survival across
+// snapshot republish, and the modify-resets-counters rule — with every
+// combination of the microflow and megaflow tiers in front of the walk,
+// since a cache hit charges the attribution the tier stored. Each leg
+// also checks that every packet is counted exactly once per tier.
 func TestFlowCounters(t *testing.T) {
+	for _, micro := range []bool{false, true} {
+		for _, mega := range []bool{false, true} {
+			name := fmt.Sprintf("microflow=%v/megaflow=%v", micro, mega)
+			t.Run(name, func(t *testing.T) { testFlowCounters(t, micro, mega) })
+		}
+	}
+}
+
+func testFlowCounters(t *testing.T, micro, mega bool) {
 	p := lifecyclePipeline(t)
+	if micro {
+		p.SetCacheSize(1 << 10)
+	}
+	if mega {
+		p.SetMegaflowSize(1 << 10)
+	} else {
+		p.SetMegaflowSize(0)
+	}
 	a := lifecycleEntry(1, 10, 1)
 	b := lifecycleEntry(2, 20, 2)
 	mustInsert(t, p, a)
 	mustInsert(t, p, b)
 
+	// tierStats checks that each enabled tier saw every packet sent so
+	// far exactly once: microflow probes all of them, megaflow probes
+	// the microflow misses (all of them with the microflow tier off).
+	tierStats := func(leg string, sent uint64) {
+		t.Helper()
+		cs, ms := p.CacheStats(), p.MegaflowStats()
+		megaProbes := sent
+		if micro {
+			if got := cs.Hits + cs.Misses; got != sent {
+				t.Errorf("%s: microflow hits+misses = %d, want %d packets", leg, got, sent)
+			}
+			megaProbes = cs.Misses
+		}
+		if mega {
+			if got := ms.Hits + ms.Misses; got != megaProbes {
+				t.Errorf("%s: megaflow hits+misses = %d, want %d", leg, got, megaProbes)
+			}
+		}
+	}
+
 	for i := 0; i < 3; i++ {
 		p.Execute(srcHeader(1, 100))
 	}
+	tierStats("Execute", 3)
 	hs := []*openflow.Header{srcHeader(2, 200), srcHeader(2, 200), srcHeader(1, 0)}
-	p.ExecuteBatch(hs)
+	p.ExecuteBatchInto(hs, nil)
+	tierStats("ExecuteBatchInto", 6)
 
 	counters := func() map[uint32][2]uint64 {
 		out := make(map[uint32][2]uint64)

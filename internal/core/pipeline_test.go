@@ -5,6 +5,7 @@ import (
 
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
+	"ofmtl/internal/traffic"
 	"ofmtl/internal/xrand"
 )
 
@@ -320,5 +321,48 @@ func TestMemoryReportShape(t *testing.T) {
 	}
 	if trieLevels != 15 {
 		t.Errorf("trie level components = %d, want 15 (3x3 Ethernet + 2x3 IPv4)", trieLevels)
+	}
+}
+
+// TestInsertionOrderInvariance: building the same rule set in different
+// orders must classify identically (the structures are order-independent,
+// as hardware incremental update requires).
+func TestInsertionOrderInvariance(t *testing.T) {
+	f, err := filterset.GenerateRoute("pozb", filterset.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(order []int) *Pipeline {
+		shuffled := &filterset.RouteFilter{Name: f.Name, Rules: make([]filterset.RouteRule, len(f.Rules))}
+		for i, idx := range order {
+			shuffled.Rules[i] = f.Rules[idx]
+		}
+		p, err := BuildRoute(shuffled, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fwd := make([]int, len(f.Rules))
+	for i := range fwd {
+		fwd[i] = i
+	}
+	rng := xrand.New(44)
+	p1 := build(fwd)
+	p2 := build(rng.Perm(len(f.Rules)))
+
+	trace := traffic.RouteTrace(f, 3000, 0.8, 11)
+	for i := range trace {
+		h1, h2 := trace[i], trace[i]
+		r1, r2 := p1.Execute(&h1), p2.Execute(&h2)
+		if r1.Matched != r2.Matched || r1.SentToController != r2.SentToController ||
+			len(r1.Outputs) != len(r2.Outputs) {
+			t.Fatalf("probe %d: order-dependent result: %+v vs %+v", i, r1, r2)
+		}
+		for j := range r1.Outputs {
+			if r1.Outputs[j] != r2.Outputs[j] {
+				t.Fatalf("probe %d: order-dependent output", i)
+			}
+		}
 	}
 }

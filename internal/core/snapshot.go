@@ -8,22 +8,28 @@ import (
 	"ofmtl/internal/openflow"
 )
 
-// This file implements the pipeline's RCU-style concurrency engine.
+// This file implements the pipeline's RCU-style concurrency engine and
+// the one tiered packet path every lookup takes.
 //
 // The lookup state is published as an immutable snapshot: a set of deep
-// table clones behind an atomic pointer. Readers (Execute, ExecuteBatch)
-// load the pointer and classify lock-free against whatever snapshot they
-// loaded — a reader that raced a concurrent update simply observes the
-// state from just before or just after it, never a half-applied one.
-// Writers mutate the live tables under the pipeline write lock and bump
-// per-table generation counters; the snapshot is re-cloned lazily on the
-// first lookup that observes a stale generation, so a burst of updates
-// costs one clone, not one per update.
+// table clones behind an atomic pointer. Readers (Execute,
+// ExecuteBatchInto) load the pointer and classify lock-free against
+// whatever snapshot they loaded — a reader that raced a concurrent update
+// simply observes the state from just before or just after it, never a
+// half-applied one. Writers mutate the live tables under the pipeline
+// write lock and bump per-table generation counters; the snapshot is
+// re-cloned lazily on the first lookup that observes a stale generation,
+// so a burst of updates costs one clone, not one per update.
 //
 // Every snapshot additionally carries a version from a monotonic
-// counter. The microflow cache (flowcache.go) keys its entries on that
-// version, so a rule update — which forces a new snapshot — implicitly
-// invalidates every cached fast-path result without any flush traffic.
+// counter. Both cache tiers key their entries on that version, so a rule
+// update — which forces a new snapshot — invalidates every microflow
+// entry without any flush traffic; the megaflow tier's commit sweep
+// carries its unaffected entries forward (megaflow.go).
+//
+// Execute and the batch workers share one packet path, tiers.exec:
+// microflow probe, megaflow probe, snapshot walk on a double miss,
+// install into both tiers, and the per-flow counter charge.
 
 // snapshot is one published immutable view of the pipeline.
 type snapshot struct {
@@ -89,43 +95,21 @@ func (s *snapshot) fresh(p *Pipeline) bool {
 	return true
 }
 
-// execute classifies one header against the snapshot's immutable clones,
-// drawing scratch from the shared pool (single-packet path).
-func (s *snapshot) execute(h *openflow.Header) Result {
-	sc := execScratchPool.Get().(*execScratch)
-	res := s.executeScratch(h, sc)
-	execScratchPool.Put(sc)
-	return res
-}
-
-// executeScratch classifies one header using caller-owned scratch. Batch
-// workers pass their per-worker context's scratch, so the batch hot path
-// touches no shared pool at all.
-func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch) Result {
-	var res Result
-	if len(s.order) == 0 {
-		res.SentToController = true
-		return res
+// walk classifies one header against the snapshot's immutable clones
+// using caller-owned scratch. The scratch is reset before anything else,
+// so its counter attribution never carries over from an earlier walk.
+// With traced set the walk also records the union of header bits any
+// lookup layer consulted (sc.tr) and the fields mutated mid-walk
+// (sc.rewritten) — together the megaflow entry the outcome may be
+// installed under. An empty pipeline legitimately leaves the mask
+// all-zero: the outcome (controller miss) is the same for every packet.
+func (s *snapshot) walk(h *openflow.Header, sc *execScratch, traced bool) Result {
+	sc.reset()
+	if traced {
+		sc.traced = true
+		sc.tr.reset()
 	}
-	sc.reset()
-	sc.armLatSample(s)
-	executeWalk(s.order, &s.byID, s.groups, h, sc, &res)
-	res.TablesVisited = s.intern.internPath(sc.visited)
-	res.Outputs = s.intern.internOutputs(sc.outs)
-	return res
-}
-
-// executeTracedScratch is executeScratch with consulted-bits tracing
-// enabled: after it returns, sc.tr holds the union of header bits any
-// lookup layer consulted and sc.rewritten the fields mutated mid-walk —
-// together the megaflow entry the outcome may be installed under. An
-// empty pipeline legitimately leaves the mask all-zero: the outcome
-// (controller miss) is the same for every packet.
-func (s *snapshot) executeTracedScratch(h *openflow.Header, sc *execScratch) Result {
 	var res Result
-	sc.reset()
-	sc.traced = true
-	sc.tr.reset()
 	if len(s.order) == 0 {
 		res.SentToController = true
 		return res
@@ -135,19 +119,6 @@ func (s *snapshot) executeTracedScratch(h *openflow.Header, sc *execScratch) Res
 	res.TablesVisited = s.intern.internPath(sc.visited)
 	res.Outputs = s.intern.internOutputs(sc.outs)
 	return res
-}
-
-// executeTraced runs one traced walk with pooled scratch, returning the
-// outcome, its canonical interned pointer, and the traced (mask,
-// rewritten) pair copied out of the scratch before it is repooled.
-func (s *snapshot) executeTraced(h *openflow.Header) (res Result, rp *Result, mask flowMask, rewritten uint64) {
-	sc := execScratchPool.Get().(*execScratch)
-	res = s.executeTracedScratch(h, sc)
-	mask = sc.tr
-	rewritten = sc.rewritten
-	execScratchPool.Put(sc)
-	rp = s.intern.internResult(res)
-	return res, rp, mask, rewritten
 }
 
 // loadSnapshot returns a snapshot reflecting every completed mutation.
@@ -222,8 +193,9 @@ func (p *Pipeline) SnapshotMemoryStats() MemoryStats {
 	return p.loadSnapshot().mem
 }
 
-// SetWorkers bounds the goroutines one ExecuteBatch call fans out to.
-// Zero (the default) selects GOMAXPROCS; one forces the sequential path.
+// SetWorkers bounds the goroutines one ExecuteBatchInto call fans out
+// to. Zero (the default) selects GOMAXPROCS; one forces the sequential
+// path.
 func (p *Pipeline) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -231,30 +203,134 @@ func (p *Pipeline) SetWorkers(n int) {
 	p.workers.Store(int64(n))
 }
 
-// Workers returns the configured ExecuteBatch fan-out bound (0 means
-// GOMAXPROCS).
-func (p *Pipeline) Workers() int { return int(p.workers.Load()) }
-
 // batchChunk is the number of headers a batch worker claims per cursor
 // advance: large enough to amortise the atomic increment, small enough
 // to balance skewed per-packet costs across workers.
 const batchChunk = 32
 
-// execCtx is one batch worker's private execution context: its own walk
-// scratch and its own cache counters, flushed once per batch. Workers
-// never share a context, so the batch hot path performs no pool traffic
-// and no per-packet atomic writes beyond the claimed-cursor advances.
+// tiers is the lookup state one packet (or one whole batch) executes
+// against: the snapshot it walks, the cache tiers in front of the walk
+// (nil when disabled) and the flow directory the matched flows are
+// charged to.
+type tiers struct {
+	s *snapshot
+	c *flowCache
+	m *megaflowCache
+	d *flowDir
+}
+
+// loadTiers captures the current snapshot and cache tiers.
+func (p *Pipeline) loadTiers() tiers {
+	return tiers{s: p.loadSnapshot(), c: p.cache.Load(), m: p.mega.Load(), d: p.dir}
+}
+
+// execCtx is one executor's private context: its walk scratch, its
+// counter shard and the tier hit/miss counts it has not yet published.
+// Batch workers own one each for the length of a batch, so the batch
+// hot path performs no pool traffic; Execute borrows one from
+// execCtxPool per packet. Shared hit/miss counters are written only by
+// flush: once per batch worker, once per Execute.
 type execCtx struct {
 	sc      execScratch
 	hits    uint64
 	misses  uint64
 	mhits   uint64 // megaflow-tier hits
 	mmisses uint64 // megaflow-tier misses
-	// shard is the lifecycle counter shard this worker charges; workers
-	// map to distinct shards, so per-flow counting in a batch is
-	// single-writer per (shard, flow) cell.
+	// shard is the lifecycle counter shard (and cache-stats shard) this
+	// context charges; batch workers take their worker slot, pooled
+	// contexts a round-robin shard fixed at creation.
 	shard uint32
 	_     [64]byte // keep neighbouring workers' contexts off one line
+}
+
+// ctxSeq hands out the round-robin shards of pooled contexts.
+var ctxSeq atomic.Uint32
+
+var execCtxPool = sync.Pool{New: func() any {
+	ctx := &execCtx{shard: ctxSeq.Add(1) & (ctrShards - 1)}
+	ctx.sc.latShard = ctx.shard
+	return ctx
+}}
+
+// exec classifies one header through the tiered path — microflow probe,
+// megaflow probe, then the multi-table walk on a double miss, whose
+// outcome is installed into both tiers — and charges the matched flows'
+// counters on ctx's shard. Tier hits and misses accumulate in ctx until
+// flush. This is the only copy of the sequence: Execute and the batch
+// workers both call it.
+//
+// A cached Result replays the recorded outcome without re-mutating the
+// header, matching data-plane behaviour (mutations apply to the
+// forwarded copy, not to subsequent packets of the flow).
+func (t *tiers) exec(h *openflow.Header, ctx *execCtx) Result {
+	if h == nil {
+		// A nil header carries nothing to classify; model it as the
+		// miss path (packet to controller), as an empty pipeline does.
+		return Result{SentToController: true}
+	}
+	// The key is packed before the walk: mid-walk mutations apply to the
+	// forwarded copy, and both cache tiers key on the original header.
+	var k flowKey
+	var fp uint64
+	if t.c != nil || t.m != nil {
+		packFlowKey(&k, h)
+		fp = k.fingerprint()
+	}
+	if t.c != nil {
+		if e, ok := t.c.lookup(fp, &k, t.s.version); ok {
+			ctx.hits++
+			t.charge(ctx, &e.refs, int(e.nrefs), h)
+			return e.res
+		}
+		ctx.misses++
+	}
+	if t.m != nil {
+		var mrefs [ctrRefMax]uint32
+		if res, nrefs, ok := t.m.lookup(&k, t.s.version, &mrefs); ok {
+			// A megaflow hit does NOT back-fill the microflow tier:
+			// all-new-flow traffic (the regime this tier exists for)
+			// would churn the exact-match slots without ever re-hitting
+			// them, and the microflow fill path allocates.
+			ctx.mhits++
+			t.charge(ctx, &mrefs, nrefs, h)
+			return res
+		}
+		ctx.mmisses++
+	}
+	sc := &ctx.sc
+	res := t.s.walk(h, sc, t.m != nil)
+	t.charge(ctx, &sc.refs, sc.nrefs, h)
+	// A walk that matched more rules than a cached attribution can carry
+	// skips both installs: serving it from a cache would silently stop
+	// counting the overflowed rules.
+	if !sc.refOverflow {
+		if t.m != nil {
+			rp := t.s.intern.internResult(res)
+			t.m.install(&k, &sc.tr, sc.rewritten, t.s.version, rp, &sc.refs, sc.nrefs)
+		}
+		if t.c != nil {
+			t.c.store(fp, &k, t.s.version, res, &sc.refs, sc.nrefs)
+		}
+	}
+	return res
+}
+
+// charge counts one packet against the n attributed flows in refs.
+func (t *tiers) charge(ctx *execCtx, refs *[ctrRefMax]uint32, n int, h *openflow.Header) {
+	if n > 0 {
+		t.d.touch(ctx.shard, refs, n, h.PktLen)
+	}
+}
+
+// flush publishes ctx's accumulated tier hit/miss counts on its shard.
+func (t *tiers) flush(ctx *execCtx) {
+	if t.c != nil && (ctx.hits != 0 || ctx.misses != 0) {
+		t.c.addStats(uint64(ctx.shard), ctx.hits, ctx.misses)
+	}
+	if t.m != nil && (ctx.mhits != 0 || ctx.mmisses != 0) {
+		t.m.addStats(uint64(ctx.shard), ctx.mhits, ctx.mmisses)
+	}
+	ctx.hits, ctx.misses, ctx.mhits, ctx.mmisses = 0, 0, 0, 0
 }
 
 // padCursor is a cache-line-isolated work cursor; one per worker region,
@@ -264,15 +340,12 @@ type padCursor struct {
 	_ [56]byte
 }
 
-// batchState carries one ExecuteBatch invocation: the inputs, the reply
-// slice, the loaded snapshot/cache, and the per-worker cursors and
+// batchState carries one ExecuteBatchInto invocation: the inputs, the
+// reply slice, the loaded tiers, and the per-worker cursors and
 // contexts. States are pooled; the slices grow to the largest worker
 // count seen and are reused, so steady-state batches allocate nothing.
 type batchState struct {
-	s       *snapshot
-	c       *flowCache
-	m       *megaflowCache
-	d       *flowDir
+	t       tiers
 	hs      []*openflow.Header
 	res     []Result
 	workers int
@@ -347,7 +420,9 @@ func batchWorker(jobs chan batchJob) {
 
 // work drains the worker's own contiguous region, then steals from the
 // other regions in cyclic order so stragglers (skewed per-packet costs,
-// descheduled workers) never leave a core idle.
+// descheduled workers) never leave a core idle. Workers map to distinct
+// counter shards, so per-flow counting in a batch is single-writer per
+// (shard, flow) cell.
 func (bs *batchState) work(w int) {
 	ctx := &bs.ctxs[w]
 	ctx.shard = uint32(w)
@@ -355,14 +430,7 @@ func (bs *batchState) work(w int) {
 	for v := 0; v < bs.workers; v++ {
 		bs.drain((w+v)%bs.workers, ctx)
 	}
-	if bs.c != nil && (ctx.hits != 0 || ctx.misses != 0) {
-		bs.c.addStats(uint64(w), ctx.hits, ctx.misses)
-		ctx.hits, ctx.misses = 0, 0
-	}
-	if bs.m != nil && (ctx.mhits != 0 || ctx.mmisses != 0) {
-		bs.m.addStats(uint64(w), ctx.mhits, ctx.mmisses)
-		ctx.mhits, ctx.mmisses = 0, 0
-	}
+	bs.t.flush(ctx)
 }
 
 // drain claims chunks from region v until it is exhausted. Both the
@@ -389,96 +457,26 @@ func (bs *batchState) drain(v int, ctx *execCtx) {
 			end = hi
 		}
 		for i := start; i < end; i++ {
-			bs.res[i] = bs.execOne(bs.hs[i], ctx)
+			bs.res[i] = bs.t.exec(bs.hs[i], ctx)
 		}
 	}
-}
-
-// execOne classifies one header through the tiered path: microflow
-// cache probe first, megaflow (masked) probe second, full multi-table
-// walk on a double miss — the batch mirror of Pipeline.Execute.
-func (bs *batchState) execOne(h *openflow.Header, ctx *execCtx) Result {
-	if h == nil {
-		// A nil header carries nothing to classify; model it as the
-		// miss path (packet to controller), as an empty pipeline does.
-		return Result{SentToController: true}
-	}
-	if bs.c == nil && bs.m == nil {
-		res := bs.s.executeScratch(h, &ctx.sc)
-		bs.touchWalked(ctx, h)
-		return res
-	}
-	var k flowKey
-	packFlowKey(&k, h)
-	fp := k.fingerprint()
-	if bs.c != nil {
-		if e, ok := bs.c.lookup(fp, &k, bs.s.version); ok {
-			ctx.hits++
-			if bs.d != nil && e.nrefs > 0 {
-				bs.d.touch(ctx.shard, &e.refs, int(e.nrefs), h.PktLen)
-			}
-			return e.res
-		}
-		ctx.misses++
-	}
-	if bs.m != nil {
-		var mrefs [ctrRefMax]uint32
-		if res, nrefs, ok := bs.m.lookup(&k, bs.s.version, &mrefs); ok {
-			ctx.mhits++
-			if bs.d != nil && nrefs > 0 {
-				bs.d.touch(ctx.shard, &mrefs, nrefs, h.PktLen)
-			}
-			return res
-		}
-		ctx.mmisses++
-		res := bs.s.executeTracedScratch(h, &ctx.sc)
-		rp := bs.s.intern.internResult(res)
-		bs.touchWalked(ctx, h)
-		if !ctx.sc.refOverflow {
-			bs.m.install(&k, &ctx.sc.tr, ctx.sc.rewritten, bs.s.version, rp, &ctx.sc.refs, ctx.sc.nrefs)
-			if bs.c != nil {
-				bs.c.store(fp, &k, bs.s.version, res, &ctx.sc.refs, ctx.sc.nrefs)
-			}
-		}
-		return res
-	}
-	res := bs.s.executeScratch(h, &ctx.sc)
-	bs.touchWalked(ctx, h)
-	if !ctx.sc.refOverflow {
-		bs.c.store(fp, &k, bs.s.version, res, &ctx.sc.refs, ctx.sc.nrefs)
-	}
-	return res
-}
-
-// touchWalked charges the packet to the flows the walk just matched
-// (recorded in the worker's scratch), on the worker's counter shard.
-func (bs *batchState) touchWalked(ctx *execCtx, h *openflow.Header) {
-	if bs.d != nil && ctx.sc.nrefs > 0 {
-		bs.d.touch(ctx.shard, &ctx.sc.refs, ctx.sc.nrefs, h.PktLen)
-	}
-}
-
-// ExecuteBatch classifies every header through the pipeline and returns
-// one Result per header, in order. It is ExecuteBatchInto with a fresh
-// reply slice; callers on the steady-state path should reuse a slice
-// through ExecuteBatchInto instead.
-func (p *Pipeline) ExecuteBatch(hs []*openflow.Header) []Result {
-	return p.ExecuteBatchInto(hs, nil)
 }
 
 // ExecuteBatchInto classifies every header through the pipeline, writing
 // one Result per header, in order, into res (grown if its capacity is
 // short, so passing the previous call's return value makes the batch
-// path allocation-free in steady state).
+// path allocation-free in steady state; a nil res allocates a fresh
+// reply slice).
 //
 // The snapshot is loaded once for the whole batch and the work split
 // into per-worker contiguous regions claimed in cache-friendly chunks;
 // workers that finish their region steal chunks from the others. Each
 // worker owns a private execution context (walk scratch, cache
 // counters), so workers share no mutable state besides the region
-// cursors and their disjoint slices of res. Headers must be distinct
-// (they are mutated during execution, as in Execute); nil headers yield
-// a send-to-controller Result. Like Execute it is safe to call
+// cursors and their disjoint slices of res. Every header takes the same
+// tiered path as Execute. Headers must be distinct (they are mutated
+// during execution, as in Execute); nil headers yield a
+// send-to-controller Result. Like Execute it is safe to call
 // concurrently with mutations; the whole batch observes one consistent
 // snapshot.
 func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Result {
@@ -490,7 +488,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 	if len(hs) == 0 {
 		return res
 	}
-	workers := p.Workers()
+	workers := int(p.workers.Load())
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -503,10 +501,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 
 	bs := batchStatePool.Get().(*batchState)
 	bs.size(workers)
-	bs.s = p.loadSnapshot()
-	bs.c = p.cache.Load()
-	bs.m = p.mega.Load()
-	bs.d = p.dir
+	bs.t = p.loadTiers()
 	bs.hs = hs
 	bs.res = res
 	bs.workers = workers
@@ -523,7 +518,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 	bs.work(0) // the caller is worker 0
 	bs.wg.Wait()
 
-	bs.s, bs.c, bs.m, bs.d, bs.hs, bs.res = nil, nil, nil, nil, nil, nil
+	bs.t, bs.hs, bs.res = tiers{}, nil, nil
 	batchStatePool.Put(bs)
 	return res
 }
