@@ -232,8 +232,8 @@ delete-strict 1 prio=1 meta=10 ethdst=00:aa:00:00:00:03
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Txs != 3 || st.FlowModCommands != 6 {
-		t.Errorf("tx stats = %d txs / %d commands, want 3 / 6", st.Txs, st.FlowModCommands)
+	if st.Tx.Txs != 3 || st.Tx.Commands != 6 {
+		t.Errorf("tx stats = %d txs / %d commands, want 3 / 6", st.Tx.Txs, st.Tx.Commands)
 	}
 	// A file with a bad command errors client-side before any send.
 	bad := filepath.Join(t.TempDir(), "bad.txt")
@@ -313,11 +313,12 @@ func TestDIR24TableOptionsShapeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	ms, err := c.MemoryStats()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dirTable *ofproto.TableMemoryStats
+	ms := st.Memory
+	var dirTable *core.TableMemory
 	for i := range ms.Tables {
 		if ms.Tables[i].Table == 2 {
 			dirTable = &ms.Tables[i]
@@ -386,10 +387,11 @@ func TestMemoryAndTableOptionsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	ms, err := c.MemoryStats()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms := st.Memory
 	if len(ms.Tables) != 2 || ms.Tables[0].Backend != core.BackendTSS || ms.Tables[1].Backend != core.BackendTSS {
 		t.Errorf("wire backends: %+v", ms.Tables)
 	}

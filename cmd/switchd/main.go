@@ -35,11 +35,11 @@
 // built off-path from the canonical rule store and swapped at a commit
 // boundary with a single snapshot publish, rolling back on failure. The
 // advisor's view (signals, per-scheme scores, migration history) is
-// served as the advisor-stats message (ofctl advisor).
+// part of the stats message (ofctl advisor).
 // -memlog logs the pipeline's live per-table memory accounting on an
-// interval; the same figures are served over the wire as the
-// memory-stats message (ofctl memory), read from lock-free counters that
-// never serialise against flow-mods or lookups.
+// interval, read from lock-free counters that never serialise against
+// flow-mods or lookups; the same figures travel in the stats message
+// (ofctl memory).
 //
 // Packet lookups execute lock-free against the pipeline's RCU-style
 // snapshot, so concurrent controller connections classify in parallel;
@@ -49,8 +49,8 @@
 // (-megaflow, entries) absorbs whole regions — each walk traces the
 // header bits it consulted and installs its outcome under that mask, so
 // new flows agreeing on the consulted bits skip the walk entirely. Both
-// tiers' hit/miss counters are reported through the stats and
-// cache-stats messages (ofctl stats / ofctl cache).
+// tiers' hit/miss counters are reported through the stats message
+// (ofctl stats / ofctl cache).
 //
 // Flow-table mutations arrive as flow-mod transactions: a flow-mod batch
 // message validates and applies atomically, publishing one lookup
@@ -230,14 +230,12 @@ func run() error {
 		go func() {
 			ticker := time.NewTicker(*memlog)
 			defer ticker.Stop()
-			var tables []core.TableMemory
 			for {
 				select {
 				case <-stopLog:
 					return
 				case <-ticker.C:
-					ms := pipeline.MemoryStatsInto(tables)
-					tables = ms.Tables
+					ms := pipeline.MemoryStats()
 					var b strings.Builder
 					if ms.BudgetBits > 0 {
 						fmt.Fprintf(&b, " budget=%db", ms.BudgetBits)

@@ -150,8 +150,8 @@ func (t *LookupTable) eligibleFor(kind string) bool {
 	return BackendSupportsFields(kind, t.cfg.Fields)
 }
 
-// Migration reason codes, published per table through AdvisorStats and
-// the MsgAdvisorStats wire surface.
+// Migration reason codes, published per table through AdvisorStats
+// (and so in the MsgStats wire reply).
 const (
 	// MigrateReasonNone: the table has never migrated.
 	MigrateReasonNone uint32 = iota
@@ -290,21 +290,21 @@ func (p *Pipeline) SetAutotunePolicy(pol autotune.Policy) {
 	p.tunePolicy = pol
 }
 
-// updateLatencyLocked folds the sampler deltas since the last advisor
-// tick into the table's latency EWMA.
-func (p *Pipeline) updateLatencyLocked(t *LookupTable) {
-	sum, count := p.lat.totals(t.cfg.ID)
-	ds, dc := sum-t.lastLatSum, count-t.lastLatCount
-	t.lastLatSum, t.lastLatCount = sum, count
-	if dc > 0 {
-		t.ewmaNs = autotune.EWMA(t.ewmaNs, float64(ds)/float64(dc), 0.3)
-	}
-}
-
 // signalsLocked assembles the advisor's view of one table from its live
-// counters, folding fresh latency samples in first.
-func (p *Pipeline) signalsLocked(t *LookupTable) autotune.Signals {
-	p.updateLatencyLocked(t)
+// counters. The latency signal is the table's EWMA with the sampler
+// deltas since the last fold applied; fold stores that EWMA and its
+// sampler baseline. Only AutotuneOnce folds: a report (AdvisorStats)
+// previews the same figure without storing it, so polling the advisor
+// never moves the signal the advisor scores the incumbent with.
+func (p *Pipeline) signalsLocked(t *LookupTable, fold bool) autotune.Signals {
+	sum, count := p.lat.totals(t.cfg.ID)
+	ewma := t.ewmaNs
+	if dc := count - t.lastLatCount; dc > 0 {
+		ewma = autotune.EWMA(ewma, float64(sum-t.lastLatSum)/float64(dc), 0.3)
+	}
+	if fold {
+		t.ewmaNs, t.lastLatSum, t.lastLatCount = ewma, sum, count
+	}
 	var memBits uint64
 	if tm := t.stats.Load(); tm != nil {
 		memBits = tm.TotalBits()
@@ -314,7 +314,7 @@ func (p *Pipeline) signalsLocked(t *LookupTable) autotune.Signals {
 		Masks:      len(t.maskSigs),
 		Ranges:     t.rangeRules,
 		MemBits:    memBits,
-		MeasuredNs: t.ewmaNs,
+		MeasuredNs: ewma,
 	}
 }
 
@@ -402,7 +402,7 @@ func (p *Pipeline) AutotuneOnce() []MigrationEvent {
 	now := time.Now().UnixNano()
 	for _, id := range p.order {
 		t := p.tables[id]
-		sig := p.signalsLocked(t)
+		sig := p.signalsLocked(t, true)
 		if !t.auto {
 			continue
 		}
@@ -498,8 +498,8 @@ type TableAdvisorStats struct {
 	Candidates []AdvisorCandidate
 }
 
-// AdvisorStats is the advisor's full report, the backing for the
-// MsgAdvisorStats wire surface and `ofctl advisor`.
+// AdvisorStats is the advisor's full report, carried in the MsgStats
+// wire reply and rendered by `ofctl advisor`.
 type AdvisorStats struct {
 	Tables     []TableAdvisorStats
 	Migrations uint64
@@ -508,15 +508,16 @@ type AdvisorStats struct {
 
 // AdvisorStats assembles the advisor's current view of every table:
 // signals, candidate scores, and migration history. It takes the pipeline
-// write lock (signals fold in fresh latency samples), so it is a
-// control-plane polling surface, not a hot-path one.
+// write lock briefly (the shape counters are guarded by it), so it is a
+// control-plane polling surface, not a hot-path one. It changes no
+// advisor state: the latency it reports is a preview of the next fold.
 func (p *Pipeline) AdvisorStats() AdvisorStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := AdvisorStats{Failed: p.migrationsFailed.Load()}
 	for _, id := range p.order {
 		t := p.tables[id]
-		sig := p.signalsLocked(t)
+		sig := p.signalsLocked(t, false)
 		cands, _ := p.scoreCandidatesLocked(t, sig)
 		row := TableAdvisorStats{
 			Table:      id,

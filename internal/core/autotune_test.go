@@ -534,3 +534,32 @@ func TestAutotuneLatencySamplerFeedsEwma(t *testing.T) {
 		t.Fatalf("latency EWMA still %v after %d uncached lookups", rep.Tables[0].EwmaNs, 64*64)
 	}
 }
+
+// TestAdvisorStatsDoesNotFoldLatency pins the advisor report as a pure
+// observer: twin pipelines receive the same sampled latencies, only one
+// is polled between the two bursts, and both must then report the same
+// EWMA. A report that folded the samples it saw would leave the polled
+// twin's EWMA weighted towards the first burst.
+func TestAdvisorStatsDoesNotFoldLatency(t *testing.T) {
+	polled, quiet := autotuneLPMPipeline(t, 8), autotuneLPMPipeline(t, 8)
+	burst := func(ns uint64) {
+		for _, p := range []*Pipeline{polled, quiet} {
+			for i := 0; i < 64; i++ {
+				p.lat.record(uint32(i), 0, ns)
+			}
+		}
+	}
+	burst(198)
+	if got := polled.AdvisorStats().Tables[0].EwmaNs; got != 198 {
+		t.Fatalf("mid-run report EwmaNs = %v, want 198", got)
+	}
+	burst(1000)
+	got := polled.AdvisorStats().Tables[0].EwmaNs
+	want := quiet.AdvisorStats().Tables[0].EwmaNs
+	if got != want {
+		t.Fatalf("polled twin reports EwmaNs %v, unpolled twin %v: the report changed advisor state", got, want)
+	}
+	if want != 599 {
+		t.Fatalf("EwmaNs = %v, want 599 (mean of both bursts, first fold)", want)
+	}
+}

@@ -74,7 +74,6 @@ func TestTableBudgetRejectsGrowth(t *testing.T) {
 			}
 			p.Refresh()
 			pre := p.MemoryStats()
-			preSnap := p.SnapshotMemoryStats()
 			preRules := p.Rules()
 
 			tx := p.Begin()
@@ -94,9 +93,6 @@ func TestTableBudgetRejectsGrowth(t *testing.T) {
 			}
 			if post := p.MemoryStats(); !reflect.DeepEqual(pre, post) {
 				t.Fatalf("MemoryStats changed across a rejected commit:\npre:  %+v\npost: %+v", pre, post)
-			}
-			if postSnap := p.SnapshotMemoryStats(); !reflect.DeepEqual(preSnap, postSnap) {
-				t.Fatalf("SnapshotMemoryStats changed across a rejected commit:\npre:  %+v\npost: %+v", preSnap, postSnap)
 			}
 			if got := p.TxCounters().Rejected; got != 1 {
 				t.Fatalf("rejected counter = %d, want 1", got)
@@ -163,9 +159,6 @@ func TestProcessBudget(t *testing.T) {
 	p.SetMemoryBudget(used + 1)
 	if got := p.MemoryStats().BudgetBits; got != used+1 {
 		t.Fatalf("MemoryStats.BudgetBits = %d, want %d", got, used+1)
-	}
-	if got := p.SnapshotMemoryStats().BudgetBits; got != used+1 {
-		t.Fatalf("SnapshotMemoryStats.BudgetBits = %d, want %d", got, used+1)
 	}
 	tx := p.Begin()
 	for i := 8; i < 24; i++ {

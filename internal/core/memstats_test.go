@@ -131,41 +131,30 @@ func TestMemoryStatsMatchesReport(t *testing.T) {
 					t.Errorf("published backend = %q, want %q", tm.Backend, kind)
 				}
 			}
-			// The snapshot-embedded copy serves the same figures.
-			if snap := p.SnapshotMemoryStats(); !reflect.DeepEqual(snap, stats) {
-				t.Errorf("snapshot stats %+v != live stats %+v", snap, stats)
-			}
 		})
 	}
 }
 
 // TestMemoryStatsLockFree proves the read path never touches the pipeline
-// write lock: with p.mu held, MemoryStats (and the snapshot-embedded
-// read, after a refresh) must still complete.
+// write lock: with p.mu held, MemoryStats must still complete.
 func TestMemoryStatsLockFree(t *testing.T) {
 	p := buildBackendPipeline(t, BackendMBT)
 	applyCmds(t, p, randomCmds(BackendMBT, 7, 64))
-	p.Refresh() // publish the snapshot so the embedded read has no rebuild to do
+	p.Refresh() // publish the snapshot so MemoryReport has no rebuild to do
 
 	p.mu.Lock()
-	done := make(chan MemoryStats, 2)
-	go func() {
-		done <- p.MemoryStats()
-		done <- p.SnapshotMemoryStats()
-	}()
-	var got []MemoryStats
-	for i := 0; i < 2; i++ {
-		select {
-		case st := <-done:
-			got = append(got, st)
-		case <-time.After(5 * time.Second):
-			p.mu.Unlock()
-			t.Fatal("memory-stats read blocked on the pipeline write lock")
-		}
+	done := make(chan MemoryStats, 1)
+	go func() { done <- p.MemoryStats() }()
+	var got MemoryStats
+	select {
+	case got = <-done:
+	case <-time.After(5 * time.Second):
+		p.mu.Unlock()
+		t.Fatal("memory-stats read blocked on the pipeline write lock")
 	}
 	p.mu.Unlock()
-	if got[0].TotalBits == 0 || !reflect.DeepEqual(got[0], got[1]) {
-		t.Errorf("inconsistent lock-free reads: %+v vs %+v", got[0], got[1])
+	if got.TotalBits == 0 {
+		t.Errorf("lock-free read reported 0 bits: %+v", got)
 	}
 
 	// MemoryReport's walk likewise runs over the published snapshot
@@ -175,8 +164,8 @@ func TestMemoryStatsLockFree(t *testing.T) {
 	go func() { reportDone <- p.MemoryReport().TotalBits }()
 	select {
 	case bits := <-reportDone:
-		if bits != int(got[0].TotalBits) {
-			t.Errorf("report under lock = %d bits, stats = %d bits", bits, got[0].TotalBits)
+		if bits != int(got.TotalBits) {
+			t.Errorf("report under lock = %d bits, stats = %d bits", bits, got.TotalBits)
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("MemoryReport walk blocked on the pipeline write lock")
@@ -220,7 +209,6 @@ func TestMemoryStatsUnderChurn(t *testing.T) {
 							t.Errorf("stats lost the table: %+v", st)
 							return
 						}
-						_ = p.SnapshotMemoryStats()
 					}
 				}()
 			}

@@ -600,18 +600,10 @@ func (p *Pipeline) MemoryReport() *memmodel.SystemReport {
 // It is lock-free: the read path is one atomic load of the published
 // table list plus one atomic load per table of the accounting the most
 // recent mutation republished — it never acquires the pipeline write
-// lock, so it stays readable under full control-plane churn. The same
-// counters are embedded in every published lookup snapshot and exported
-// over the wire as MsgMemoryStats.
+// lock, so it stays readable under full control-plane churn. The wire
+// server carries it in the MsgStats reply.
 func (p *Pipeline) MemoryStats() MemoryStats {
-	return p.MemoryStatsInto(nil)
-}
-
-// MemoryStatsInto is MemoryStats reusing the given table slice when it
-// has capacity, so polling paths (the wire server, periodic logs) do not
-// re-allocate the view every read.
-func (p *Pipeline) MemoryStatsInto(tables []TableMemory) MemoryStats {
-	out := MemoryStats{Tables: tables[:0], BudgetBits: p.memBudget.Load()}
+	out := MemoryStats{BudgetBits: p.memBudget.Load()}
 	view := p.tablesView.Load()
 	if view == nil {
 		return out

@@ -65,11 +65,6 @@ type snapshot struct {
 	// lat is the owning pipeline's lookup-latency sampler; sampled walks
 	// against this snapshot feed it (autotune signal).
 	lat *latSampler
-	// mem is the per-table memory accounting of the state this snapshot
-	// serves, captured from the tables' published counters at build time.
-	// A reader holding the snapshot therefore sees lookup results and
-	// memory figures from the same committed state.
-	mem MemoryStats
 }
 
 // snapTable binds a live table to the frozen clone taken from it.
@@ -160,7 +155,6 @@ func (p *Pipeline) rebuildSnapshotLocked() *snapshot {
 		dir:       p.dir,
 		lat:       p.lat,
 	}
-	ns.mem.BudgetBits = p.memBudget.Load()
 	for id, t := range p.tables {
 		gen := t.gen.Load()
 		if s != nil {
@@ -176,21 +170,9 @@ func (p *Pipeline) rebuildSnapshotLocked() *snapshot {
 		ns.byID[id] = st.clone
 		ns.srcs = append(ns.srcs, st.src)
 		ns.gens = append(ns.gens, st.gen)
-		tm := st.src.stats.Load()
-		ns.mem.Tables = append(ns.mem.Tables, *tm)
-		ns.mem.TotalBits += tm.TotalBits()
 	}
 	p.snap.Store(ns)
 	return ns
-}
-
-// SnapshotMemoryStats returns the memory accounting embedded in the
-// current lookup snapshot — the figures consistent with the state
-// concurrent lookups are classifying against. Like MemoryStats it is
-// lock-free on the fast path (the snapshot refreshes lazily only after a
-// mutation).
-func (p *Pipeline) SnapshotMemoryStats() MemoryStats {
-	return p.loadSnapshot().mem
 }
 
 // SetWorkers bounds the goroutines one ExecuteBatchInto call fans out

@@ -1,9 +1,11 @@
 package ofproto
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"ofmtl/internal/core"
 	"ofmtl/internal/openflow"
 )
 
@@ -129,6 +131,56 @@ func FuzzDecodePacketBatch(f *testing.F) {
 			if *hs[i] != *hs2[i] {
 				t.Fatalf("packet %d round trip mismatch", i)
 			}
+		}
+	})
+}
+
+// FuzzDecodeGroupMod feeds arbitrary bytes to the group-mod decoder, a
+// server-side parser of controller-supplied bytes: it must never panic,
+// and whatever decodes must re-encode/decode to a fixed point.
+func FuzzDecodeGroupMod(f *testing.F) {
+	f.Add(EncodeGroupMod(&GroupMod{
+		Op: GroupModAdd, ID: 7, Type: core.GroupAll,
+		Buckets: [][]openflow.Action{
+			{openflow.Output(1), openflow.SetField(openflow.FieldVLANID, 9)},
+			{openflow.Drop()},
+			{},
+		},
+	}))
+	f.Add(EncodeGroupMod(&GroupMod{Op: GroupModDelete, ID: 1}))
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 1, 1, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gm, err := DecodeGroupMod(data)
+		if err != nil {
+			return
+		}
+		buf := EncodeGroupMod(gm)
+		gm2, err := DecodeGroupMod(buf)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(gm, gm2) {
+			t.Fatalf("group-mod round trip not a fixed point: %+v vs %+v", gm, gm2)
+		}
+	})
+}
+
+// FuzzDecodeFlowStatsRequest feeds arbitrary bytes to the flow-stats
+// request decoder (server side, controller-supplied bytes). The request
+// is fixed-width, so whatever decodes must re-encode to the input.
+func FuzzDecodeFlowStatsRequest(f *testing.F) {
+	f.Add(EncodeFlowStatsRequest(&FlowStatsRequest{Table: 3, Cursor: 777, Max: 128, Cookie: 0xDEAD, CookieMask: 0xFFFF}))
+	f.Add(EncodeFlowStatsRequest(&FlowStatsRequest{Table: AllTables}))
+	f.Add([]byte{})
+	f.Add(make([]byte, flowStatsRequestLen+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r FlowStatsRequest
+		if err := DecodeFlowStatsRequestInto(&r, data); err != nil {
+			return
+		}
+		if buf := EncodeFlowStatsRequest(&r); !bytes.Equal(buf, data) {
+			t.Fatalf("flow-stats request re-encodes to %x, input %x", buf, data)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ofmtl/internal/core"
 	"ofmtl/internal/openflow"
 )
 
@@ -124,10 +125,19 @@ func TestPacketReplyRoundTrip(t *testing.T) {
 
 func TestStatsRoundTrip(t *testing.T) {
 	s := &Stats{
-		Tables:     []TableStats{{ID: 0, Rules: 10, Field: "VLAN ID"}},
+		Tables:     []core.TableInfo{{ID: 0, Fields: []openflow.FieldID{openflow.FieldVLANID}, Rules: 10}},
 		TotalRules: 10,
 		MemoryBits: 12345,
 		M20KBlocks: 3,
+		Memory: core.MemoryStats{TotalBits: 12345, BudgetBits: 1 << 20, Tables: []core.TableMemory{{
+			Table: 0, Backend: core.BackendTSS, Rules: 10,
+			BackendStats: core.BackendStats{SearchBits: 12000, IndexBits: 300, ActionBits: 45},
+		}}},
+		Megaflow: core.MegaflowStats{Hits: 7, Entries: 256, Masks: 2},
+		Advisor: core.AdvisorStats{Migrations: 1, Tables: []core.TableAdvisorStats{{
+			Table: 0, Auto: true, Incumbent: core.BackendTSS, Rules: 10, EwmaNs: 0, LastReason: "score",
+			Candidates: []core.AdvisorCandidate{{Backend: core.BackendMBT, Eligible: true, Score: 83.25}},
+		}}},
 	}
 	payload, err := EncodeStats(s)
 	if err != nil {

@@ -67,12 +67,21 @@ func TestMsgTypeStrings(t *testing.T) {
 		MsgFlowModReply: "flow-mod-reply", MsgPacket: "packet",
 		MsgPacketReply: "packet-reply", MsgStatsRequest: "stats-request",
 		MsgStatsReply: "stats-reply", MsgBarrier: "barrier",
-		MsgBarrierReply: "barrier-reply", MsgType(99): "unknown",
+		MsgBarrierReply: "barrier-reply", MsgEchoRequest: "echo-request",
+		MsgFlowRemoved: "flow-removed", MsgType(99): "unknown",
+		// The retired memory-, cache- and advisor-stats codes name nothing.
+		MsgType(15): "unknown", MsgType(18): "unknown", MsgType(30): "unknown",
+		MsgType(31): "unknown",
 	}
 	for typ, want := range names {
 		if got := typ.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", typ, got, want)
 		}
+	}
+	// Retiring messages left the surviving codes where they were.
+	if MsgFlowModBatchReply != 14 || MsgEchoRequest != 19 || MsgFlowRemoved != 29 {
+		t.Errorf("message codes moved: flow-mod-batch-reply=%d echo-request=%d flow-removed=%d, want 14/19/29",
+			MsgFlowModBatchReply, MsgEchoRequest, MsgFlowRemoved)
 	}
 }
 

@@ -383,14 +383,14 @@ func TestCacheStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CacheEntries <= 0 {
-		t.Errorf("stats report %d cache entries, want > 0", st.CacheEntries)
+	if st.Cache.Entries <= 0 {
+		t.Errorf("stats report %d cache entries, want > 0", st.Cache.Entries)
 	}
-	if st.CacheHits == 0 {
-		t.Errorf("repeated batches produced no cache hits: %+v", st)
+	if st.Cache.Hits == 0 {
+		t.Errorf("repeated batches produced no cache hits: %+v", st.Cache)
 	}
-	if st.CacheMisses == 0 {
-		t.Errorf("first-packet flows should count as misses: %+v", st)
+	if st.Cache.Misses == 0 {
+		t.Errorf("first-packet flows should count as misses: %+v", st.Cache)
 	}
 	// A flow-mod through the wire retires cached results.
 	e := &openflow.FlowEntry{
