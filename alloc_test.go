@@ -144,10 +144,10 @@ func TestTrieLookupAllZeroAlloc(t *testing.T) {
 	}
 	// Pre-size the destination outside the measured region; LookupAll
 	// appends, so a once-grown buffer is reused thereafter.
-	dst := tr.LookupAll(0, nil)
+	dst, _ := tr.LookupAll(0, nil)
 	var key uint64
 	assertZeroAllocs(t, "Trie.LookupAll", func() {
-		dst = tr.LookupAll(key&0xFFFF, dst[:0])
+		dst, _ = tr.LookupAll(key&0xFFFF, dst[:0])
 		key += 977
 	})
 }

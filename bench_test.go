@@ -204,7 +204,7 @@ func BenchmarkMBTLookupAll(b *testing.B) {
 	var scratch []mbt.MatchedEntry
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = tr.LookupAll(uint64(i)&0xFFFF, scratch[:0])
+		scratch, _ = tr.LookupAll(uint64(i)&0xFFFF, scratch[:0])
 	}
 }
 

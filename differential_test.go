@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"ofmtl/internal/baseline"
 	"ofmtl/internal/core"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
@@ -15,7 +14,7 @@ import (
 
 // TestDifferentialACLvsLinear drives randomized rule sets and headers
 // through both the dense-array lookup engine and the brute-force linear
-// classifier of internal/baseline, asserting the identical winning
+// scan of core.ReferenceClassifier, asserting the identical winning
 // (priority, instructions) for every packet. The headers are executed
 // concurrently from several goroutines so the run also exercises the
 // snapshot engine under the race detector (CI runs the suite with -race).
@@ -30,9 +29,9 @@ func TestDifferentialACLvsLinear(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: building pipeline: %v", seed, err)
 		}
-		lin := baseline.NewLinear()
-		if err := lin.Build(f.Rules); err != nil {
-			t.Fatalf("seed %d: building linear baseline: %v", seed, err)
+		var lin core.ReferenceClassifier
+		for i := range entries {
+			lin.Insert(&entries[i])
 		}
 
 		// A mix of trace headers biased toward rule hits and fully random
@@ -49,9 +48,8 @@ func TestDifferentialACLvsLinear(t *testing.T) {
 			})
 		}
 
-		// Expected winners from the linear scan, computed up front (the
-		// linear baseline is not safe for concurrent use — it records its
-		// per-call lookup cost).
+		// Expected winners from the linear scan, computed up front so the
+		// concurrent workers below compare against fixed answers.
 		type expect struct {
 			matched  bool
 			priority int
@@ -60,11 +58,11 @@ func TestDifferentialACLvsLinear(t *testing.T) {
 		want := make([]expect, len(headers))
 		for i := range headers {
 			h := headers[i]
-			if idx, ok := lin.Classify(&h); ok {
+			if e, ok := lin.Classify(&h); ok {
 				want[i] = expect{
 					matched:  true,
-					priority: entries[idx].Priority,
-					instrs:   entries[idx].Instructions,
+					priority: e.Priority,
+					instrs:   e.Instructions,
 				}
 			}
 		}

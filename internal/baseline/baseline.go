@@ -3,12 +3,15 @@
 // HyperSplit), Decomposition (RFC), Hashing (tuple space search) and
 // Hardware (TCAM) — plus a naive linear search, each instrumented for the
 // three axes the table grades: memory consumption, lookup cost and update
-// cost. The Table I experiment classifies the same 5-tuple rule set with
-// every algorithm and reports measured numbers behind the paper's
-// qualitative entries.
+// cost. The hashing, hardware and linear rows run the switch's own tss
+// and lineartcam backends (see Live); RFC and the two trees are
+// estimators. The Table I experiment classifies the same 5-tuple rule
+// set with every algorithm and reports measured numbers behind the
+// paper's qualitative entries.
 package baseline
 
 import (
+	"ofmtl/internal/core"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 )
@@ -45,22 +48,13 @@ type Classifier interface {
 	UpdateCost() int
 }
 
-// Interface compliance.
-var (
-	_ Classifier = (*Linear)(nil)
-	_ Classifier = (*TCAM)(nil)
-	_ Classifier = (*TupleSpace)(nil)
-	_ Classifier = (*RFC)(nil)
-	_ Classifier = (*HyperCuts)(nil)
-	_ Classifier = (*HyperSplit)(nil)
-)
-
-// All returns one instance of every implemented baseline.
+// All returns one instance of every implemented baseline, in Table I
+// row order.
 func All() []Classifier {
 	return []Classifier{
-		NewLinear(),
-		NewTCAM(),
-		NewTupleSpace(),
+		&Live{name: "linear", category: CategoryNaive, backend: core.BackendLinearTCAM},
+		&Live{name: "tcam", category: CategoryHardware, backend: core.BackendLinearTCAM},
+		&Live{name: "tss", category: CategoryHashing, backend: core.BackendTSS},
 		NewRFC(),
 		NewHyperCuts(),
 		NewHyperSplit(),
@@ -95,31 +89,4 @@ func ruleMatches(r *filterset.ACLRule, h *openflow.Header) bool {
 		return false
 	}
 	return true
-}
-
-// rangeToPrefixes decomposes an inclusive 16-bit range into the minimal
-// set of prefixes covering it — the classic range-to-ternary expansion
-// TCAMs require (up to 2w-2 prefixes for a w-bit field).
-func rangeToPrefixes(lo, hi uint16) [][2]uint16 {
-	var out [][2]uint16 // (value, plen)
-	l, h := uint32(lo), uint32(hi)
-	for l <= h {
-		// The largest aligned block starting at l that fits within h.
-		size := uint32(1)
-		plen := uint16(16)
-		for plen > 0 {
-			next := size << 1
-			if l&(next-1) != 0 || l+next-1 > h {
-				break
-			}
-			size = next
-			plen--
-		}
-		out = append(out, [2]uint16{uint16(l), plen})
-		l += size
-		if l == 0 { // wrapped past 0xFFFF
-			break
-		}
-	}
-	return out
 }

@@ -97,16 +97,63 @@ const (
 	treeMaxDepth = 24 // safety cap
 )
 
+// scanRules tests the listed rules against h and returns the lowest
+// (highest-priority) matching index, or best if none is lower.
+func scanRules(rules []filterset.ACLRule, idx []int, h *openflow.Header, best int) int {
+	for _, ri := range idx {
+		if (best < 0 || ri < best) && ruleMatches(&rules[ri], h) {
+			best = ri
+		}
+	}
+	return best
+}
+
+// tree is the state and accounting both decision trees share.
+type tree struct {
+	rules      []filterset.ACLRule
+	nodes      int
+	storedRefs int
+	lastLookup int
+}
+
+// reset loads the rule list and returns the index of every rule, the
+// root's rule set.
+func (t *tree) reset(rules []filterset.ACLRule) []int {
+	t.rules = append([]filterset.ACLRule(nil), rules...)
+	t.nodes, t.storedRefs = 0, 0
+	all := make([]int, len(rules))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// Category implements Classifier.
+func (t *tree) Category() Category { return CategoryTrieGeometric }
+
+// LookupCost implements Classifier.
+func (t *tree) LookupCost() int { return t.lastLookup }
+
+// UpdateCost implements Classifier: the replication factor times the leaf
+// capacity approximates the entries rewritten when a rule is inserted —
+// the "very complex update" of Table I.
+func (t *tree) UpdateCost() int {
+	if len(t.rules) == 0 {
+		return 0
+	}
+	return (t.storedRefs+len(t.rules)-1)/len(t.rules)*treeBinth + treeMaxDepth
+}
+
+// StoredRefs returns the stored rule references (replication included).
+func (t *tree) StoredRefs() int { return t.storedRefs }
+
 // --- HyperCuts ---------------------------------------------------------
 
 // HyperCuts is the multi-dimensional cutting tree of Table I's
 // Trie-Geometric category.
 type HyperCuts struct {
-	rules      []filterset.ACLRule
-	root       *hcNode
-	nodes      int
-	storedRefs int
-	lastLookup int
+	tree
+	root *hcNode
 }
 
 type hcNode struct {
@@ -126,18 +173,9 @@ func NewHyperCuts() *HyperCuts { return &HyperCuts{} }
 // Name implements Classifier.
 func (hc *HyperCuts) Name() string { return "hypercuts" }
 
-// Category implements Classifier.
-func (hc *HyperCuts) Category() Category { return CategoryTrieGeometric }
-
 // Build implements Classifier.
 func (hc *HyperCuts) Build(rules []filterset.ACLRule) error {
-	hc.rules = append([]filterset.ACLRule(nil), rules...)
-	hc.nodes, hc.storedRefs = 0, 0
-	all := make([]int, len(rules))
-	for i := range all {
-		all[i] = i
-	}
-	hc.root = hc.build(all, fullBox(), 0)
+	hc.root = hc.build(hc.reset(rules), fullBox(), 0)
 	return nil
 }
 
@@ -251,20 +289,11 @@ func (hc *HyperCuts) Classify(h *openflow.Header) (int, bool) {
 	cost := 0
 	n := hc.root
 	for n != nil {
-		cost++
-		for _, ri := range n.local {
-			cost++
-			if ruleMatches(&hc.rules[ri], h) && (best < 0 || ri < best) {
-				best = ri
-			}
-		}
+		cost += 1 + len(n.local)
+		best = scanRules(hc.rules, n.local, h, best)
 		if n.children == nil {
-			for _, ri := range n.leafRules {
-				cost++
-				if ruleMatches(&hc.rules[ri], h) && (best < 0 || ri < best) {
-					best = ri
-				}
-			}
+			cost += len(n.leafRules)
+			best = scanRules(hc.rules, n.leafRules, h, best)
 			break
 		}
 		ci := 0
@@ -299,36 +328,13 @@ func (hc *HyperCuts) MemoryBits() int {
 	return hc.nodes*nodeHeader + hc.storedRefs*ptr + len(hc.rules)*ruleTupleBits
 }
 
-// LookupCost implements Classifier.
-func (hc *HyperCuts) LookupCost() int { return hc.lastLookup }
-
-// UpdateCost implements Classifier: the replication factor times the leaf
-// capacity approximates the entries rewritten when a rule is inserted —
-// the "very complex update" of Table I.
-func (hc *HyperCuts) UpdateCost() int {
-	if len(hc.rules) == 0 {
-		return 0
-	}
-	repl := (hc.storedRefs + len(hc.rules) - 1) / len(hc.rules)
-	return repl*treeBinth + treeMaxDepth
-}
-
-// Nodes returns the tree's node count.
-func (hc *HyperCuts) Nodes() int { return hc.nodes }
-
-// StoredRefs returns the stored rule references (replication included).
-func (hc *HyperCuts) StoredRefs() int { return hc.storedRefs }
-
 // --- HyperSplit --------------------------------------------------------
 
 // HyperSplit is the binary endpoint-splitting tree of Table I's
 // Trie-Geometric category.
 type HyperSplit struct {
-	rules      []filterset.ACLRule
-	root       *hsNode
-	nodes      int
-	storedRefs int
-	lastLookup int
+	tree
+	root *hsNode
 }
 
 type hsNode struct {
@@ -345,18 +351,9 @@ func NewHyperSplit() *HyperSplit { return &HyperSplit{} }
 // Name implements Classifier.
 func (hs *HyperSplit) Name() string { return "hypersplit" }
 
-// Category implements Classifier.
-func (hs *HyperSplit) Category() Category { return CategoryTrieGeometric }
-
 // Build implements Classifier.
 func (hs *HyperSplit) Build(rules []filterset.ACLRule) error {
-	hs.rules = append([]filterset.ACLRule(nil), rules...)
-	hs.nodes, hs.storedRefs = 0, 0
-	all := make([]int, len(rules))
-	for i := range all {
-		all[i] = i
-	}
-	hs.root = hs.build(all, fullBox(), 0)
+	hs.root = hs.build(hs.reset(rules), fullBox(), 0)
 	return nil
 }
 
@@ -443,20 +440,11 @@ func (hs *HyperSplit) Classify(h *openflow.Header) (int, bool) {
 	cost := 0
 	n := hs.root
 	for n != nil {
-		cost++
-		for _, ri := range n.local {
-			cost++
-			if ruleMatches(&hs.rules[ri], h) && (best < 0 || ri < best) {
-				best = ri
-			}
-		}
+		cost += 1 + len(n.local)
+		best = scanRules(hs.rules, n.local, h, best)
 		if n.dim < 0 {
-			for _, ri := range n.leafRules {
-				cost++
-				if ruleMatches(&hs.rules[ri], h) && (best < 0 || ri < best) {
-					best = ri
-				}
-			}
+			cost += len(n.leafRules)
+			best = scanRules(hs.rules, n.leafRules, h, best)
 			break
 		}
 		if headerValue(h, n.dim) <= n.threshold {
@@ -478,21 +466,3 @@ func (hs *HyperSplit) MemoryBits() int {
 	const ptr = 24
 	return hs.nodes*nodeHeader + hs.storedRefs*ptr + len(hs.rules)*ruleTupleBits
 }
-
-// LookupCost implements Classifier.
-func (hs *HyperSplit) LookupCost() int { return hs.lastLookup }
-
-// UpdateCost implements Classifier.
-func (hs *HyperSplit) UpdateCost() int {
-	if len(hs.rules) == 0 {
-		return 0
-	}
-	repl := (hs.storedRefs + len(hs.rules) - 1) / len(hs.rules)
-	return repl*treeBinth + treeMaxDepth
-}
-
-// Nodes returns the tree's node count.
-func (hs *HyperSplit) Nodes() int { return hs.nodes }
-
-// StoredRefs returns the stored rule references (replication included).
-func (hs *HyperSplit) StoredRefs() int { return hs.storedRefs }

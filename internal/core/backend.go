@@ -14,11 +14,10 @@ import (
 // The paper's central observation is that memory cost depends on the
 // lookup scheme chosen per table: the same rule set costs very different
 // bit counts under a label-compressed multi-bit-trie architecture, a
-// tuple-space hash search, or a TCAM-style ternary array. Earlier PRs
-// hard-wired the first scheme into every LookupTable and left the others
-// as offline estimators in internal/baseline; this API makes the scheme a
-// per-table runtime decision so the Table III/IV comparison can be
-// reproduced on a live switch.
+// tuple-space hash search, or a TCAM-style ternary array. This API makes
+// the scheme a per-table runtime decision, so the Table III/IV comparison
+// is reproduced on a live switch, and Table I's tss, tcam and linear
+// rows (internal/baseline) measure these same backends.
 //
 // A Backend owns a table's data-plane state: it installs and uninstalls
 // canonical flow entries, classifies packet headers, deep-clones itself
@@ -131,13 +130,13 @@ type Backend interface {
 	// instructions and priority. Ties on priority resolve to the earliest
 	// installed entry. Lookup must be safe for concurrent callers on an
 	// immutable (cloned) backend.
-	Lookup(h *openflow.Header) (MatchResult, bool)
-	// LookupTraced is Lookup plus consulted-bits accounting for the
-	// megaflow tier: it must mark in tr every header bit whose value
-	// could change the lookup's outcome, so that any header agreeing with
-	// h on the marked bits is guaranteed the identical MatchResult.
-	// Over-marking is safe; under-marking caches wrong results.
-	LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool)
+	//
+	// A non-nil tr adds consulted-bits accounting for the megaflow tier:
+	// Lookup must mark in tr every header bit whose value could change
+	// the outcome, so that any header agreeing with h on the marked bits
+	// is guaranteed the identical MatchResult. Over-marking is safe;
+	// under-marking caches wrong results. A nil tr traces nothing.
+	Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool)
 	// Clone returns a deep copy sharing no mutable state with the
 	// original (immutable instruction slices are shared).
 	Clone() Backend

@@ -8,8 +8,9 @@ import (
 	"ofmtl/internal/openflow"
 )
 
-// tcamBackend is the TCAM cost model promoted from the offline estimator
-// in internal/baseline to a real, mutation-capable, clone-safe backend: a
+// tcamBackend is the TCAM cost model as a real, mutation-capable,
+// clone-safe backend — the one implementation behind both the lineartcam
+// pin and Table I's tcam and linear rows: a
 // priority-ordered array of ternary rows searched linearly in software
 // (hardware compares every row in parallel — one access, the paper's
 // "parallel search" category). Memory is accounted the way a TCAM pays
@@ -54,6 +55,11 @@ func (b *tcamBackend) ternaryBits() int {
 // rangePrefixCount returns the number of prefixes in the minimal prefix
 // cover of [lo, hi] — the ternary rows one range constraint expands into.
 func rangePrefixCount(lo, hi uint64) int {
+	if lo == 0 && hi == ^uint64(0) {
+		// The full 64-bit span is the one /0 prefix, a block too large
+		// for a uint64 size below.
+		return 1
+	}
 	count := 0
 	for {
 		// Largest aligned power-of-two block starting at lo that stays
@@ -70,9 +76,6 @@ func rangePrefixCount(lo, hi uint64) int {
 			return count
 		}
 		lo += size
-		if lo == 0 { // wrapped: covered the full 64-bit span
-			return count
-		}
 	}
 }
 
@@ -129,24 +132,17 @@ func (b *tcamBackend) Remove(e *openflow.FlowEntry) error {
 }
 
 // Lookup implements Backend: the rows are priority-ordered, so the first
-// matching row is the winner (the TCAM priority encoder).
-func (b *tcamBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
+// matching row is the winner (the TCAM priority encoder). Traced, a linear
+// scan consults the care bits of every row up to and including the
+// winning row: a packet agreeing with h on all those bits misses the same
+// higher-priority rows and hits the same winner (or, on a total miss,
+// misses every row).
+func (b *tcamBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
 	for _, ent := range b.entries {
-		if ent.entry.MatchesHeader(h) {
-			return MatchResult{Instructions: ent.entry.Instructions, Priority: ent.entry.Priority, Ref: ent.entry.Ref}, true
-		}
-	}
-	return MatchResult{}, false
-}
-
-// LookupTraced implements Backend. A linear TCAM scan consults the care
-// bits of every row up to and including the winning row: a packet
-// agreeing with h on all those bits misses the same higher-priority rows
-// and hits the same winner (or, on a total miss, misses every row).
-func (b *tcamBackend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	for _, ent := range b.entries {
-		for i := range ent.entry.Matches {
-			tr.traceMatch(&ent.entry.Matches[i])
+		if tr != nil {
+			for i := range ent.entry.Matches {
+				tr.traceMatch(&ent.entry.Matches[i])
+			}
 		}
 		if ent.entry.MatchesHeader(h) {
 			return MatchResult{Instructions: ent.entry.Instructions, Priority: ent.entry.Priority, Ref: ent.entry.Ref}, true
@@ -187,10 +183,6 @@ func (b *tcamBackend) AddMemory(r *memmodel.SystemReport, prefix string) {
 	}
 	r.AddBits(prefix+"/tcam/actions", int(st.ActionBits))
 }
-
-// Rows returns the expanded ternary row count (the range-expansion
-// blow-up over the rule count).
-func (b *tcamBackend) Rows() int { return b.rows }
 
 // AccountingCheckpoint implements Backend. The lineartcam accounting is fully
 // reversible under Insert/Remove (it counts live structures, no

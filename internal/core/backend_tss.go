@@ -11,9 +11,9 @@ import (
 )
 
 // tssBackend is tuple space search (Srinivasan et al., the paper's
-// reference [12]) promoted from the offline estimator in
-// internal/baseline to a real, mutation-capable, clone-safe backend over
-// arbitrary table field sets: rules are grouped by their tuple of
+// reference [12]) as a real, mutation-capable, clone-safe backend over
+// arbitrary table field sets — the one implementation behind both the
+// tss pin and Table I's tss row: rules are grouped by their tuple of
 // per-field mask shapes (wildcard / prefix length / exact), each tuple
 // holds an exact-match hash table over the masked key bytes, and a
 // lookup probes every tuple. Hashing gives O(1) per-tuple lookup and O(1)
@@ -291,12 +291,26 @@ func tssBetter(best, cand *tssEntry) bool {
 // Lookup implements Backend: probe every tuple's hash table with the
 // header masked to the tuple's shape, then scan the spill list, keeping
 // the best (priority, installation order) entry.
-func (b *tssBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
+//
+// Traced, every probed tuple consults exactly its shape's masked bits
+// (the probe key), whether the bucket hits or misses, so each non-empty
+// tuple contributes its shape mask. The spill scan may test any entry's
+// full match, so every spill entry's care bits are traced
+// unconditionally (conservative: tssBetter can skip a test, but
+// identical traced bits imply the identical skip decisions).
+func (b *tssBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
 	sc := b.scratch.Get().(*tssScratch)
 	var best *tssEntry
 	for _, tp := range b.order {
 		if tp.n == 0 {
 			continue
+		}
+		if tr != nil {
+			for i, f := range b.fields {
+				if plen := tp.shape[i]; plen != tssShapeWild && plen != 0 {
+					tr.orField(f, int(plen))
+				}
+			}
 		}
 		sc.key = b.probeKey(tp, h, sc.key)
 		if bucket, ok := tp.entries[string(sc.key)]; ok {
@@ -308,6 +322,11 @@ func (b *tssBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
 		}
 	}
 	for _, ent := range b.spill {
+		if tr != nil {
+			for i := range ent.entry.Matches {
+				tr.traceMatch(&ent.entry.Matches[i])
+			}
+		}
 		if tssBetter(best, ent) && ent.entry.MatchesHeader(h) {
 			best = ent
 		}
@@ -317,31 +336,6 @@ func (b *tssBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
 		return MatchResult{}, false
 	}
 	return MatchResult{Instructions: best.entry.Instructions, Priority: best.entry.Priority, Ref: best.entry.Ref}, true
-}
-
-// LookupTraced implements Backend. Every probed tuple consults exactly
-// its shape's masked bits (the probe key), whether the bucket hits or
-// misses, so each non-empty tuple contributes its shape mask. The spill
-// scan may test any entry's full match, so every spill entry's care bits
-// are traced unconditionally (conservative: tssBetter can skip a test,
-// but identical traced bits imply the identical skip decisions).
-func (b *tssBackend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	for _, tp := range b.order {
-		if tp.n == 0 {
-			continue
-		}
-		for i, f := range b.fields {
-			if plen := tp.shape[i]; plen != tssShapeWild && plen != 0 {
-				tr.orField(f, int(plen))
-			}
-		}
-	}
-	for _, ent := range b.spill {
-		for i := range ent.entry.Matches {
-			tr.traceMatch(&ent.entry.Matches[i])
-		}
-	}
-	return b.Lookup(h)
 }
 
 // Clone implements Backend. Entries are immutable once installed, so the
@@ -392,8 +386,21 @@ func (b *tssBackend) AddMemory(r *memmodel.SystemReport, prefix string) {
 	r.AddBits(prefix+"/tss/actions", int(st.ActionBits))
 }
 
-// Tuples returns the live tuple count — the probe fan-out of one lookup.
-func (b *tssBackend) Tuples() int { return len(b.tuples) }
+// Tuples reports the probe fan-out of one lookup on a tss table: the
+// non-empty mask tuples it hashes into and the spill rows it scans.
+// Tables served by another scheme report 0, 0.
+func (t *LookupTable) Tuples() (tuples, spill int) {
+	b, ok := t.backend.(*tssBackend)
+	if !ok {
+		return 0, 0
+	}
+	for _, tp := range b.order {
+		if tp.n > 0 {
+			tuples++
+		}
+	}
+	return tuples, len(b.spill)
+}
 
 // AccountingCheckpoint implements Backend. The tss accounting is fully
 // reversible under Insert/Remove (it counts live structures, no

@@ -78,10 +78,6 @@ func (p *Pipeline) SetMemoryBudget(bits uint64) {
 	p.mu.Unlock()
 }
 
-// MemoryBudget returns the process-wide memory budget in bits (0 =
-// unlimited).
-func (p *Pipeline) MemoryBudget() uint64 { return p.memBudget.Load() }
-
 // SetTableBudget sets one table's memory budget in modelled bits (0 =
 // unlimited), replacing any budget its TableConfig carried. The new
 // figure is republished immediately, so MemoryStats readers see it on

@@ -14,8 +14,8 @@ import (
 // The microflow tier only absorbs exact repeats — every new flow still
 // pays the full walk. The megaflow tier absorbs whole regions: when a
 // walk runs with tracing enabled, every lookup layer records the union
-// of header bits it actually consulted (see trace.go and the per-backend
-// LookupTraced implementations), and the walk's outcome is installed
+// of header bits it actually consulted (see trace.go and the tr argument
+// of every Backend.Lookup), and the walk's outcome is installed
 // under that mask. Any later packet agreeing with the original on the
 // consulted bits is guaranteed the identical walk outcome — the
 // mask-correctness invariant — so one cached entry short-circuits the

@@ -432,6 +432,10 @@ func (p *Pipeline) Execute(h *openflow.Header) Result {
 // the walk structure itself.
 func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupView, h *openflow.Header, sc *execScratch, res *Result) {
 	as := &sc.as
+	var tr *flowMask
+	if sc.traced {
+		tr = &sc.tr
+	}
 	cur := order[0]
 	for steps := 0; steps <= len(order); steps++ {
 		t := byID[cur]
@@ -440,23 +444,16 @@ func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupVie
 			return
 		}
 		sc.visited = append(sc.visited, cur)
-		var m MatchResult
-		var matched bool
+		// A sampled walk (autotune latency signal) times each
+		// classification. The common path never reaches the clock —
+		// sc.lat is non-nil for one walk in latSampleEvery.
+		var start time.Time
 		if sc.lat != nil {
-			// A sampled walk (autotune latency signal): time each
-			// classification. The common path never reaches the clock —
-			// sc.lat is non-nil for one walk in latSampleEvery.
-			start := time.Now()
-			if sc.traced {
-				m, matched = t.ClassifyTraced(h, &sc.tr)
-			} else {
-				m, matched = t.Classify(h)
-			}
+			start = time.Now()
+		}
+		m, matched := t.backend.Lookup(h, tr)
+		if sc.lat != nil {
 			sc.lat.record(sc.latShard, cur, uint64(time.Since(start)))
-		} else if sc.traced {
-			m, matched = t.ClassifyTraced(h, &sc.tr)
-		} else {
-			m, matched = t.Classify(h)
 		}
 		if !matched {
 			switch t.cfg.Miss.Kind {

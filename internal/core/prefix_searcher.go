@@ -244,44 +244,32 @@ func (s *PrefixFieldSearcher) Remove(m openflow.Match) error {
 // Search implements FieldSearcher. It walks every partition trie once,
 // then enumerates partition-label combinations in descending total prefix
 // length, appending the field label of each stored combination.
-func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate) []Candidate {
-	return s.searchInner(h, dst, nil)
-}
-
-// SearchTraced implements FieldSearcher. Each partition trie reports the
-// key bits its descent indexed on; two headers agreeing on those bits per
-// partition produce identical per-partition match sets and therefore an
-// identical candidate set (the combination stage consults labels only).
-// The per-partition consumed counts are folded into one conservative
-// field prefix: the deepest partition reached pins the prefix length.
-func (s *PrefixFieldSearcher) SearchTraced(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
-	return s.searchInner(h, dst, tr)
-}
-
-func (s *PrefixFieldSearcher) searchInner(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
+//
+// Traced, each partition trie reports the key bits its descent indexed
+// on; two headers agreeing on those bits per partition produce identical
+// per-partition match sets and therefore an identical candidate set (the
+// combination stage consults labels only). The per-partition consumed
+// counts are folded into one conservative field prefix: the deepest
+// partition reached pins the prefix length.
+func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
 	v := h.Get(s.field)
 	sc := s.scratch.Get().(*prefixScratch)
 
 	// Walk each partition trie, collecting complete match sets.
+	maxConsumed := 0
+	for i := 0; i < s.nparts; i++ {
+		key16 := bitops.PartitionOf(v, s.width, i)
+		var consumed int
+		sc.matches[i], consumed = s.parts[i].trie.LookupAll(uint64(key16), sc.matches[i][:0])
+		// Partition i covers field bits below the top 16*i, so bits
+		// consumed there extend the overall consulted prefix to
+		// 16*i + consumed.
+		if c := 16*i + consumed; c > maxConsumed {
+			maxConsumed = c
+		}
+	}
 	if tr != nil {
-		maxConsumed := 0
-		for i := 0; i < s.nparts; i++ {
-			key16 := bitops.PartitionOf(v, s.width, i)
-			var consumed int
-			sc.matches[i], consumed = s.parts[i].trie.LookupAllTraced(uint64(key16), sc.matches[i][:0])
-			// Partition i covers field bits below the top 16*i, so bits
-			// consumed there extend the overall consulted prefix to
-			// 16*i + consumed.
-			if c := 16*i + consumed; c > maxConsumed {
-				maxConsumed = c
-			}
-		}
 		tr.orField(s.field, maxConsumed)
-	} else {
-		for i := 0; i < s.nparts; i++ {
-			key16 := bitops.PartitionOf(v, s.width, i)
-			sc.matches[i] = s.parts[i].trie.LookupAll(uint64(key16), sc.matches[i][:0])
-		}
 	}
 
 	// full16[i] is the label of the exact (plen 16) match in partition i,

@@ -143,8 +143,8 @@ func runBaselineSweep(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			entries := n
-			if tc, ok := c.(*baseline.TCAM); ok {
-				entries = tc.Entries()
+			if l, ok := c.(*baseline.Live); ok {
+				entries = l.Entries()
 			}
 			rep.AddRow(n, c.Name(), float64(c.MemoryBits())/memmodel.Kbit, entries, c.UpdateCost())
 		}

@@ -39,7 +39,7 @@ func TestSpilledSlotOrdering(t *testing.T) {
 				t.Fatalf("case %d: insert /%d: %v", ci, e.plen, err)
 			}
 		}
-		got := tr.LookupAll(0, nil)
+		got, _ := tr.LookupAll(0, nil)
 		if len(got) != len(seq) {
 			t.Fatalf("case %d: %d matches, want %d: %+v", ci, len(got), len(seq), got)
 		}
@@ -66,7 +66,7 @@ func TestSpilledSlotOrdering(t *testing.T) {
 				t.Fatalf("case %d: delete /%d lab %d: %v", ci, e.plen, e.lab, err)
 			}
 		}
-		if got := tr.LookupAll(0, nil); len(got) != 0 {
+		if got, _ := tr.LookupAll(0, nil); len(got) != 0 {
 			t.Fatalf("case %d: residual entries after drain: %+v", ci, got)
 		}
 	}

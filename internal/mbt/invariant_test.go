@@ -131,7 +131,7 @@ func TestLookupAllComplete(t *testing.T) {
 	var scratch []MatchedEntry
 	for probe := 0; probe < 3000; probe++ {
 		key := rng.Uint64() & 0xFFFF
-		scratch = tr.LookupAll(key, scratch[:0])
+		scratch, _ = tr.LookupAll(key, scratch[:0])
 		// Completeness and soundness against brute force.
 		want := map[label.Label]int{}
 		for _, p := range all {

@@ -555,43 +555,13 @@ type MatchedEntry struct {
 // expanded into a slot on the key's walk path covers the key, so the walk
 // collects complete match sets without backtracking — the property the
 // crossproduct index-calculation stage relies on.
-func (t *Trie) LookupAll(key uint64, dst []MatchedEntry) []MatchedEntry {
-	start := len(dst)
-	node := int32(0)
-	for l := range t.levels {
-		lv := &t.levels[l]
-		sl := &lv.slots[(int(node)<<uint(lv.stride))+int(uint32(key>>lv.shift)&lv.mask)]
-		if sl.cnt > 0 {
-			dst = append(dst, MatchedEntry{Label: sl.head.label, Plen: int(sl.head.plen)})
-			for cur := sl.over; cur != noIndex; cur = t.over[cur].next {
-				e := &t.over[cur].e
-				dst = append(dst, MatchedEntry{Label: e.label, Plen: int(e.plen)})
-			}
-		}
-		if sl.child == noIndex {
-			break
-		}
-		node = sl.child
-	}
-	// Slots were visited shallow-to-deep, so the region is roughly
-	// ascending in plen; an insertion sort into descending order is cheap
-	// (the region holds at most one entry per prefix length).
-	region := dst[start:]
-	for i := 1; i < len(region); i++ {
-		for j := i; j > 0 && region[j-1].Plen < region[j].Plen; j-- {
-			region[j-1], region[j] = region[j], region[j-1]
-		}
-	}
-	return dst
-}
-
-// LookupAllTraced is LookupAll plus a consulted-bits report: consumed is
-// the number of leading key bits the walk actually indexed on (the
-// cumulative stride of the deepest level visited). Two keys agreeing on
-// their top consumed bits take the identical walk path and collect the
-// identical match set, which is the property wildcard-caching layers
-// above rely on.
-func (t *Trie) LookupAllTraced(key uint64, dst []MatchedEntry) (out []MatchedEntry, consumed int) {
+//
+// consumed reports the bits consulted: the number of leading key bits
+// the walk actually indexed on (the cumulative stride of the deepest
+// level visited). Two keys agreeing on their top consumed bits take the
+// identical walk path and collect the identical match set, which is the
+// property wildcard-caching layers above rely on.
+func (t *Trie) LookupAll(key uint64, dst []MatchedEntry) (out []MatchedEntry, consumed int) {
 	start := len(dst)
 	node := int32(0)
 	for l := range t.levels {
@@ -610,6 +580,9 @@ func (t *Trie) LookupAllTraced(key uint64, dst []MatchedEntry) (out []MatchedEnt
 		}
 		node = sl.child
 	}
+	// Slots were visited shallow-to-deep, so the region is roughly
+	// ascending in plen; an insertion sort into descending order is cheap
+	// (the region holds at most one entry per prefix length).
 	region := dst[start:]
 	for i := 1; i < len(region); i++ {
 		for j := i; j > 0 && region[j-1].Plen < region[j].Plen; j-- {

@@ -184,3 +184,67 @@ func FuzzDecodeFlowStatsRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodePacket feeds arbitrary bytes to the single-packet decoder
+// (server side, controller-supplied bytes): it must never panic, must
+// reject trailing bytes, and whatever decodes must re-encode/decode to a
+// fixed point.
+func FuzzDecodePacket(f *testing.F) {
+	f.Add(EncodePacket(&openflow.Header{InPort: 1, VLANID: 10, EthDst: 0xAABBCCDDEEFF}))
+	f.Add(EncodePacket(&openflow.Header{IPv4Src: 0x0A000001, IPv4Dst: 0x0A000002, SrcPort: 80, DstPort: 443, IPProto: 6}))
+	f.Add(append(EncodePacket(&openflow.Header{}), 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := DecodePacket(data)
+		if err != nil {
+			return
+		}
+		buf := EncodePacket(h)
+		if len(buf) != len(data) {
+			t.Fatalf("packet of %d bytes re-encodes to %d", len(data), len(buf))
+		}
+		h2, err := DecodePacket(buf)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if *h != *h2 {
+			t.Fatalf("packet round trip not a fixed point: %+v vs %+v", h, h2)
+		}
+	})
+}
+
+// FuzzDecodeHello feeds arbitrary bytes to the hello decoder, the first
+// parser a connecting peer reaches: exactly the encoder's bytes are
+// accepted.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(EncodeHello())
+	f.Add([]byte{})
+	f.Add([]byte{ProtocolVersion - 1})
+	f.Add(append(EncodeHello(), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		err := DecodeHello(data)
+		if want := bytes.Equal(data, EncodeHello()); (err == nil) != want {
+			t.Fatalf("DecodeHello(%x) = %v, want accepted=%v", data, err, want)
+		}
+	})
+}
+
+// FuzzDecodeAggregateStatsRequest feeds arbitrary bytes to the
+// aggregate-stats request decoder (server side, controller-supplied
+// bytes). The request is fixed-width, so whatever decodes must re-encode
+// to the input.
+func FuzzDecodeAggregateStatsRequest(f *testing.F) {
+	f.Add(EncodeAggregateStatsRequest(&AggregateStatsRequest{Table: 3, Cookie: 0xDEAD, CookieMask: 0xFFFF}))
+	f.Add(EncodeAggregateStatsRequest(&AggregateStatsRequest{Table: AllTables}))
+	f.Add([]byte{})
+	f.Add(make([]byte, aggregateStatsRequestLen+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r AggregateStatsRequest
+		if err := DecodeAggregateStatsRequestInto(&r, data); err != nil {
+			return
+		}
+		if buf := EncodeAggregateStatsRequest(&r); !bytes.Equal(buf, data) {
+			t.Fatalf("aggregate-stats request re-encodes to %x, input %x", buf, data)
+		}
+	})
+}
